@@ -44,16 +44,15 @@ struct TraceCacheConfig
  * Intra-workload sharding of the replay-fed training stages. When the
  * executing pool has more than one thread, the precount and the
  * sampling/block passes run as chunked parallel sweeps over the
- * recorded training stream (reuse::shardedReuseSweep) instead of one
- * serial replay. Results are bit-identical to the serial path at every
- * chunk size and thread count; on a single-threaded pool the serial
- * path runs unchanged.
+ * recorded training stream (reuse::shardedReuseSweep, chunks of 2^20
+ * accesses) instead of one serial replay. Results are bit-identical to
+ * the serial path at every chunk size and thread count; on a
+ * single-threaded pool the serial path runs unchanged. Neither path
+ * wins everywhere (DESIGN.md "Performance architecture"), so both
+ * stay.
  */
 struct ShardingConfig
 {
-    bool enabled = true;                  //!< opt-out switch
-    uint64_t chunkAccesses = 1ULL << 20;  //!< target accesses per chunk
-
     /** Pool for the sharded sweeps; null means the shared pool. Use
      *  the same pool the plan runs on. */
     support::ThreadPool *pool = nullptr;

@@ -188,7 +188,7 @@ struct AnalysisJob
     bool
     sharded() const
     {
-        return sharding.enabled && shardPool().threadCount() > 1;
+        return shardPool().threadCount() > 1;
     }
 
     AnalysisResult *analysisOut = nullptr;
@@ -328,10 +328,8 @@ registerTrainAnalysis(ExecutionPlan &plan,
             if (j->headerStatsValid) {
                 j->pre = j->headerPre;
             } else if (j->sharded()) {
-                reuse::ShardedSweepConfig scfg;
-                scfg.chunkAccesses = j->sharding.chunkAccesses;
                 reuse::TraceCounts counts = reuse::shardedPrecount(
-                    j->trainLog, scfg, j->shardPool());
+                    j->trainLog, {}, j->shardPool());
                 j->pre = phase::PrecountStats{counts.accesses,
                                               counts.distinctElements};
             } else {
@@ -354,7 +352,6 @@ registerTrainAnalysis(ExecutionPlan &plan,
                         j->detector.samplingConfig(
                             j->usedPrecount ? &j->pre : nullptr)));
                 reuse::ShardedSweepConfig scfg;
-                scfg.chunkAccesses = j->sharding.chunkAccesses;
                 scfg.reserveElements =
                     j->usedPrecount
                         ? static_cast<size_t>(j->pre.distinctElements)
@@ -547,9 +544,10 @@ registerWorkloadEvaluation(ExecutionPlan &plan,
     if (a->store) {
         j->store = a->store;
         j->refHash = workloadParamsHash(workload, j->refIn);
-        if (j->store->lookup(ref_key, j->refHash)) {
+        if (auto info = j->store->lookup(ref_key, j->refHash)) {
             j->refHit = true;
             j->cacheHits = 1;
+            j->traceBytes += info->fileBytes;
         } else {
             j->cacheMisses = 1;
         }

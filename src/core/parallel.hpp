@@ -4,10 +4,10 @@
  *
  * Every experiment driver evaluates a grid of (workload × configuration)
  * cells whose cells share nothing; ParallelRunner runs such grids over
- * the shared thread pool and returns results indexed by submission
- * order. Because each job is a pure function of its inputs and merging
- * is by index, the output is bit-identical to running the jobs serially
- * — the determinism tests assert exactly this.
+ * the shared thread pool and returns results in index order. Because
+ * each job is a pure function of its inputs and merging is by index,
+ * the output is bit-identical to running the jobs serially — the
+ * determinism tests assert exactly this.
  *
  * The execution engine is support::parallelFor: the calling thread
  * claims jobs alongside the pool's workers, so a one-thread run has no
@@ -33,7 +33,7 @@
 
 namespace lpp::core {
 
-/** Runs batches of independent jobs, merging in submission order. */
+/** Runs batches of independent jobs, merging in index order. */
 class ParallelRunner
 {
   public:
@@ -44,30 +44,11 @@ class ParallelRunner
     {
     }
 
-    /** @return the parallelism of the underlying pool. */
-    size_t threadCount() const { return pool.threadCount(); }
-
-    /** @return the underlying worker pool. */
-    support::ThreadPool &threadPool() { return pool; }
-
     /**
-     * Run every job, caller participating, and collect the results in
-     * submission order. Jobs must be independent (no shared mutable
-     * state). If jobs throw, the exception of the first failing job in
-     * submission order is rethrown here.
-     */
-    template <typename Job>
-    auto
-    run(std::vector<Job> jobs)
-        -> std::vector<std::invoke_result_t<Job &>>
-    {
-        return mapIndexed(jobs.size(),
-                          [&jobs](size_t i) { return jobs[i](); });
-    }
-
-    /**
-     * Map `fn` over index range [0, n), in parallel, results in index
-     * order. Same contract as run().
+     * Map `fn` over index range [0, n), in parallel, caller
+     * participating, and collect the results in index order. Calls must
+     * be independent (no shared mutable state). If calls throw, the
+     * exception of the first failing index is rethrown here.
      */
     template <typename Fn>
     auto

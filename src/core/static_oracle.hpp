@@ -8,17 +8,17 @@
  * miss curve, footprint, and phase schedule without running anything.
  * The oracle measures the same quantities from a *replay* of the
  * already-recorded training stream and compares within configurable
- * bounds — exact (bit/count identical) by default, because every
- * staticloc engine is exact for the programs it accepts. A divergence
- * means the dynamic pipeline (recorder, replay, reuse stack, sharded
- * sweep) perturbed the stream or the measurement: an independent
- * correctness tripwire that costs zero live program executions.
+ * bounds — the histogram and miss curve exactly (bit/count
+ * identical), because every staticloc engine is exact for the
+ * programs it accepts. A divergence means the dynamic pipeline
+ * (recorder, replay, reuse stack, sharded sweep) perturbed the stream
+ * or the measurement: an independent correctness tripwire that costs
+ * zero live program executions.
  *
  * Error-bound contract (see DESIGN.md "Static locality oracle"):
- *  - histogram: relative L1 divergence <= histogramTolerance (0 means
- *    bin-for-bin identical, the default);
- *  - miss curve: |predicted - measured| miss rate <= missRateTolerance
- *    at every power-of-two capacity;
+ *  - histogram: relative L1 divergence 0 (bin-for-bin identical);
+ *  - miss curve: predicted miss rate equal to the measured one at
+ *    every power-of-two capacity;
  *  - phase boundaries: predicted phase-entry clocks must equal the
  *    measured manual-marker clocks within markerTolerance accesses
  *    (0 = exact), ids included; the *detected* boundaries (sparse
@@ -47,12 +47,6 @@ struct StaticOracleConfig
 
     /** Engine choice; Auto = strongest applicable (always exact). */
     staticloc::Method method = staticloc::Method::Auto;
-
-    /** Histogram relative-L1 bound; 0 demands bin-identity. */
-    double histogramTolerance = 0.0;
-
-    /** Miss-rate bound over power-of-two capacities; 0 = exact. */
-    double missRateTolerance = 0.0;
 
     /** Manual-marker clock bound, in accesses; 0 = exact. */
     uint64_t markerTolerance = 0;

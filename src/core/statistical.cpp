@@ -15,7 +15,6 @@ StatisticalPredictor::StatisticalPredictor(Config cfg_) : cfg(cfg_)
                     cfg.lowQuantile <= cfg.highQuantile,
                 "bad quantiles [%f, %f]", cfg.lowQuantile,
                 cfg.highQuantile);
-    LPP_REQUIRE(cfg.minObservations >= 2, "need at least 2 samples");
 }
 
 void
@@ -34,7 +33,7 @@ bool
 StatisticalPredictor::predict(trace::PhaseId phase, Band *band) const
 {
     auto it = history.find(phase);
-    if (it == history.end() || it->second.size() < cfg.minObservations)
+    if (it == history.end() || it->second.size() < observationsToPredict)
         return false;
 
     const auto &sorted = it->second;

@@ -26,9 +26,6 @@ namespace lpp::core {
 /** Tuning of the statistical predictor. */
 struct StatisticalConfig
 {
-    /** Observations of a phase before it becomes predictable. */
-    size_t minObservations = 5;
-
     /** Lower quantile of the predicted band. */
     double lowQuantile = 0.1;
 
@@ -66,6 +63,9 @@ class StatisticalPredictor
                        : 0.0;
         }
     };
+
+    /** Observations of a phase before it becomes predictable. */
+    static constexpr size_t observationsToPredict = 5;
 
     explicit StatisticalPredictor(Config cfg = {});
 

@@ -17,6 +17,20 @@ namespace lpp::core {
 
 namespace {
 
+/** Two-sided confidence level of every reported interval. */
+constexpr double ciConfidence = 0.95;
+
+/**
+ * Strata whose mean execution size reaches this many accesses relax
+ * the samplesPerStratum floor to a single balanced draw (variance then
+ * comes from the pooled residual model). Replay cost is proportional
+ * to execution size while the within-stratum miss/access ratios of
+ * such long executions are tight, so the second draw buys little
+ * accuracy at a large cost there; spend it on the cheap
+ * many-execution strata instead.
+ */
+constexpr uint64_t singleDrawMeanAccesses = 1ULL << 16;
+
 /**
  * Standard normal quantile (Acklam's rational approximation, |error| <
  * 1.15e-9 over (0, 1)) — the z in the Cornish-Fisher t expansion and
@@ -795,7 +809,7 @@ StratifiedEvaluator::evaluate(const trace::MemoryTrace &trace,
         for (size_t e : strata[h].executions)
             accesses += replay.executions[e].accesses;
         const uint64_t floor_h =
-            accesses / n >= cfg.singleDrawMinAccesses ? 1 : kmin;
+            accesses / n >= singleDrawMeanAccesses ? 1 : kmin;
         const uint64_t k = std::max(
             floor_h, static_cast<uint64_t>(std::ceil(
                          cfg.sampleFraction * static_cast<double>(n))));
@@ -860,7 +874,7 @@ StratifiedEvaluator::evaluate(const trace::MemoryTrace &trace,
                 static_cast<unsigned long long>(
                     replay.executions[i].accesses));
         StratifiedEstimate est = measureAndAggregate(
-            tr, replay, ranges, strata, p, cfg.confidence, tp, sout);
+            tr, replay, ranges, strata, p, ciConfidence, tp, sout);
         ms = std::chrono::duration<double, std::milli>(clock::now() - t0)
                  .count();
         return est;

@@ -26,7 +26,7 @@
  *           variance (k_h − 1 denominator)
  *
  * and overall T̂ = Σ T̂_h, Var = Σ Var_h, with a two-sided CI of
- * T̂ ± t(confidence, ν)·√Var where ν is the Welch–Satterthwaite
+ * T̂ ± t(0.95, ν)·√Var where ν is the Welch–Satterthwaite
  * effective degrees of freedom. When every execution of a stratum has
  * the same length the ratio estimator degenerates to plain mean
  * expansion N_h·ȳ_h with the textbook variance — but when lengths are
@@ -39,7 +39,8 @@
  * Single-draw strata: a phase with a handful of huge executions
  * (vortex: 6 and 18 executions of ~100K accesses each) cannot afford
  * two draws per stratum — the replay cost would exceed a third of the
- * exhaustive pass. Such strata may sample k_h = 1; their variance is
+ * exhaustive pass. Strata whose mean execution size reaches 2^16
+ * accesses therefore sample k_h = 1; their variance is
  * borrowed through a pooled residual model Var(e_i) = φ_w·x_i
  * (quasi-Poisson in the access count), with φ̂_w estimated from the
  * residuals of every stratum that measured >= 2 units (subsampled or
@@ -150,23 +151,8 @@ struct StratifiedSamplingConfig
      *  the log2 size class of their access counts (0 disables). */
     uint64_t sizeStratifyMin = 32;
 
-    /**
-     * Strata whose mean execution size reaches this many accesses
-     * relax the samplesPerStratum floor to a single balanced draw
-     * (variance then comes from the pooled residual model). Replay
-     * cost is proportional to execution size while the within-stratum
-     * miss/access ratios of such long executions are tight, so the
-     * second draw buys little accuracy at a large cost there; spend
-     * it on the cheap many-execution strata instead. UINT64_MAX
-     * disables the relaxation.
-     */
-    uint64_t singleDrawMinAccesses = 1ULL << 16;
-
     /** Seed of the deterministic per-stratum selection. */
     uint64_t seed = 0x51a7151edULL;
-
-    /** Two-sided CI confidence level. */
-    double confidence = 0.95;
 
     /** Also run the exhaustive path and fill comparison/exact. */
     bool verifyAgainstExact = false;

@@ -324,118 +324,6 @@ Regex::toString() const
     return "";
 }
 
-namespace {
-
-/** Recursive-descent parser over the toString() syntax. */
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : s(text) {}
-
-    RegexPtr
-    parseAll()
-    {
-        RegexPtr r = expr();
-        skipSpace();
-        return (r && pos == s.size()) ? r : nullptr;
-    }
-
-  private:
-    void
-    skipSpace()
-    {
-        while (pos < s.size() && s[pos] == ' ')
-            ++pos;
-    }
-
-    bool
-    atAtomStart()
-    {
-        skipSpace();
-        if (pos >= s.size())
-            return false;
-        char c = s[pos];
-        return c == '(' || (c >= '0' && c <= '9');
-    }
-
-    RegexPtr
-    expr()
-    {
-        std::vector<RegexPtr> parts;
-        while (atAtomStart()) {
-            RegexPtr t = term();
-            if (!t)
-                return nullptr;
-            parts.push_back(std::move(t));
-        }
-        if (parts.empty())
-            return nullptr;
-        return Regex::concat(std::move(parts));
-    }
-
-    RegexPtr
-    term()
-    {
-        RegexPtr a = atom();
-        if (!a)
-            return nullptr;
-        if (pos < s.size() && s[pos] == '^') {
-            ++pos;
-            uint64_t count = 0;
-            if (!number(&count) || count == 0)
-                return nullptr;
-            return Regex::repeat(std::move(a), count);
-        }
-        return a;
-    }
-
-    RegexPtr
-    atom()
-    {
-        skipSpace();
-        if (pos >= s.size())
-            return nullptr;
-        if (s[pos] == '(') {
-            ++pos;
-            RegexPtr inner = expr();
-            skipSpace();
-            if (!inner || pos >= s.size() || s[pos] != ')')
-                return nullptr;
-            ++pos;
-            return inner;
-        }
-        uint64_t id = 0;
-        if (!number(&id))
-            return nullptr;
-        return Regex::symbol(static_cast<uint32_t>(id));
-    }
-
-    bool
-    number(uint64_t *out)
-    {
-        if (pos >= s.size() || s[pos] < '0' || s[pos] > '9')
-            return false;
-        uint64_t v = 0;
-        while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') {
-            v = v * 10 + static_cast<uint64_t>(s[pos] - '0');
-            ++pos;
-        }
-        *out = v;
-        return true;
-    }
-
-    const std::string &s;
-    size_t pos = 0;
-};
-
-} // namespace
-
-RegexPtr
-Regex::parse(const std::string &text)
-{
-    return Parser(text).parseAll();
-}
-
 size_t
 Regex::nodeCountRecursive() const
 {

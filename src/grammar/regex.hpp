@@ -84,15 +84,6 @@ class Regex
     /** @return number of nodes in this tree. */
     size_t nodeCountRecursive() const;
 
-    /**
-     * Parse the toString() format back into a regex:
-     *   expr  := term+
-     *   term  := atom ['^' count]
-     *   atom  := symbol-id | '(' expr ')'
-     * @return the parsed regex, or nullptr on malformed input
-     */
-    static RegexPtr parse(const std::string &text);
-
   private:
     Regex() = default;
 

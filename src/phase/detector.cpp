@@ -14,7 +14,7 @@ PhaseDetector::PhaseDetector(DetectorConfig cfg_) : cfg(cfg_)
 bool
 PhaseDetector::needsPrecount() const
 {
-    return cfg.precountAccesses && cfg.sampler.expectedAccesses == 0;
+    return cfg.sampler.expectedAccesses == 0;
 }
 
 reuse::SamplerConfig
@@ -26,7 +26,7 @@ PhaseDetector::samplingConfig(const PrecountStats *pre) const
     scfg.expectedAccesses = pre->accesses;
     if (scfg.addressSpaceElements == 0)
         scfg.addressSpaceElements = pre->distinctElements;
-    if (cfg.autoThresholds && pre->distinctElements > 0) {
+    if (pre->distinctElements > 0) {
         auto threshold = std::max<uint64_t>(
             16, static_cast<uint64_t>(
                     cfg.thresholdFraction *

@@ -51,25 +51,14 @@ struct DetectorConfig
     MarkerConfig marker;            //!< marker selection
 
     /**
-     * Run the program once up front to learn the trace length, giving
-     * the sampler's feedback an accurate projection target. Cheap for
-     * simulated workloads; a real deployment would pass an estimate in
-     * sampler.expectedAccesses instead.
-     */
-    bool precountAccesses = true;
-
-    /**
-     * Derive the qualification/temporal thresholds from the training
+     * The qualification/temporal thresholds derive from the training
      * run's working set: threshold = thresholdFraction * distinct
-     * elements. A reuse longer than a tenth of the working set is a
-     * cross-phase reuse for every program in the suite, while
-     * within-phase reuses stay below it; the derived value also floors
-     * and ceils feedback so count control cannot push the thresholds
-     * into either regime. Requires precountAccesses.
+     * elements, learned by the precount pass. A reuse longer than a
+     * twentieth of the working set is a cross-phase reuse for every
+     * program in the suite, while within-phase reuses stay below it;
+     * the derived value also floors and ceils feedback so count
+     * control cannot push the thresholds into either regime.
      */
-    bool autoThresholds = true;
-
-    /** Fraction of the distinct-element count used as threshold. */
     double thresholdFraction = 0.05;
 };
 
@@ -151,7 +140,8 @@ class PhaseDetector
 
     // Named stages ---------------------------------------------------
 
-    /** @return whether the configuration calls for a precount pass. */
+    /** @return whether a precount pass runs (it does unless
+     *  sampler.expectedAccesses already gives the trace length). */
     bool needsPrecount() const;
 
     /**

@@ -64,16 +64,6 @@ ThreadPool::submitBatch(std::vector<std::function<void()>> jobs)
     cv.notify_all();
 }
 
-bool
-ThreadPool::onWorkerThread() const
-{
-    auto self = std::this_thread::get_id();
-    return std::any_of(workers.begin(), workers.end(),
-                       [self](const std::thread &w) {
-                           return w.get_id() == self;
-                       });
-}
-
 std::vector<ThreadPool::WorkerStats>
 ThreadPool::workerStats() const
 {

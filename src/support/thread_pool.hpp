@@ -9,8 +9,8 @@
  * seconds, so queue contention is irrelevant next to job cost and a
  * work-stealing deque would buy nothing. Determinism is the caller's
  * contract: jobs must not share mutable state, and callers collect
- * results by submission index (see core::ParallelRunner), so the output
- * is bit-identical to running the same jobs serially.
+ * results by index (see core::ParallelRunner::mapIndexed), so the
+ * output is bit-identical to running the same jobs serially.
  *
  * Each worker keeps utilization counters (tasks executed, busy
  * nanoseconds) so benches can report load balance per worker instead of
@@ -74,13 +74,6 @@ class ThreadPool
 
     /** @return number of worker threads. */
     size_t threadCount() const { return workers.size(); }
-
-    /**
-     * @return whether the calling thread is one of this pool's workers.
-     * Blocking on pool results from a worker of the same pool deadlocks;
-     * ParallelRunner rejects that with this predicate.
-     */
-    bool onWorkerThread() const;
 
     /**
      * Per-worker utilization since construction or the last

@@ -188,11 +188,14 @@ openEntry(const std::string &path, const std::string &key,
         storedKey != key)
         return false;
 
+    // Bound both counts by the file size first, so a corrupt count
+    // cannot wrap the size sum around to the true size.
     std::error_code ec;
     auto onDisk = std::filesystem::file_size(path, ec);
-    if (ec || onDisk != headerBytes + h.keyBytes +
-                            h.frameCount * indexEntryBytes +
-                            h.payloadBytes)
+    if (ec || h.frameCount > onDisk / indexEntryBytes ||
+        h.payloadBytes > onDisk ||
+        onDisk != headerBytes + h.keyBytes +
+                      h.frameCount * indexEntryBytes + h.payloadBytes)
         return false;
     entry.fileBytes = onDisk;
     return true;
@@ -321,11 +324,19 @@ TraceStore::replay(const std::string &key, uint64_t params_hash,
         return false;
     }
 
+    // Decode only entries recorded with the default predictor
+    // geometry, as load() does for a default recording: the header is
+    // not hash-guarded, and frames decoded under another geometry
+    // would yield a different stream with every hash intact.
+    const PredictorConfig cfg;
+    if (!(cfg == PredictorConfig{entry.header.tableBits,
+                                 entry.header.laneBits,
+                                 entry.header.historyDepth}))
+        return false;
+
     // Stream one frame at a time through reused buffers: peak memory
     // is one frame payload plus one decoded batch, independent of how
     // long the recorded execution ran.
-    PredictorConfig cfg{entry.header.tableBits, entry.header.laneBits,
-                        entry.header.historyDepth};
     FrameDecoder dec(cfg);
     std::vector<uint8_t> payload;
     FrameSections sections;

@@ -96,7 +96,8 @@ class TraceStore
      * Stream the entry straight into `sink`, one frame at a time,
      * preserving event order and batch boundaries exactly. Each
      * frame's hash is verified before any of its events is delivered,
-     * and decoded counts are verified against the directory.
+     * and decoded counts are verified against the directory. Only
+     * entries recorded with the default predictor geometry replay.
      *
      * @return false on miss, hash mismatch, or malformed payload — in
      *         which case nothing may be trusted and the caller must

@@ -223,11 +223,6 @@ ValidatingSink::checkAddress(Addr addr)
 void
 ValidatingSink::violate(Kind kind, std::string message)
 {
-    if (cfg.panicOnViolation) {
-        panic("trace protocol violation [%s] at event %llu: %s",
-              kindName(kind), static_cast<unsigned long long>(events),
-              message.c_str());
-    }
     ++counts[static_cast<size_t>(kind)];
     ++total;
     if (recorded.size() < cfg.maxRecorded)

@@ -62,9 +62,6 @@ struct ValidatorConfig
     /** Maximum instructions a block execution may retire. */
     uint32_t maxBlockInstructions = 1u << 20;
 
-    /** Panic on first violation instead of recording it. */
-    bool panicOnViolation = false;
-
     /** Violations stored verbatim; later ones only counted. */
     size_t maxRecorded = 64;
 };

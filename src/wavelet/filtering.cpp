@@ -24,7 +24,8 @@ SubTraceFilter::filterSignal(const std::vector<double> &distances) const
     RunningStats stats;
     for (double d : detail)
         stats.push(std::abs(d));
-    double threshold = stats.mean() + cfg.sigmas * stats.stddev();
+    // Keep accesses with |w| > mean + 3 * stddev.
+    double threshold = stats.mean() + 3.0 * stats.stddev();
     if (threshold <= 0.0)
         return kept; // constant signal: nothing abrupt anywhere
 

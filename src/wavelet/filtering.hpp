@@ -29,9 +29,6 @@ struct FilterConfig
     /** Wavelet family (the paper uses Daubechies-6). */
     Family family = Family::Daubechies6;
 
-    /** Keep accesses with |w| > mean + sigmas * stddev. */
-    double sigmas = 3.0;
-
     /**
      * Data samples with fewer recorded accesses than this are dropped as
      * noise (too few points to carry a pattern).

@@ -263,25 +263,13 @@ TEST(PlanEquivalence, ShardedEvaluationBitIdenticalAcrossThreadCounts)
 
     for (size_t threads : {1u, 2u, 4u}) {
         lpp::support::ThreadPool pool(threads);
-        AnalysisConfig cfg = config;
-        // Small chunks force many boundary resolutions per sweep.
-        cfg.sharding.chunkAccesses = 4096;
         auto planned =
-            lpp::core::evaluateWorkloads({"fft"}, cfg, pool);
+            lpp::core::evaluateWorkloads({"fft"}, config, pool);
         ASSERT_EQ(planned.size(), 1u);
         expectSameEvaluation(planned[0], serial);
         EXPECT_EQ(planned[0].programExecutions, 2u)
             << threads << " threads";
     }
-
-    // Opting out of sharding on a multi-threaded pool keeps the
-    // replay-pass path and the same results.
-    lpp::support::ThreadPool pool(4);
-    AnalysisConfig off = config;
-    off.sharding.enabled = false;
-    auto planned = lpp::core::evaluateWorkloads({"fft"}, off, pool);
-    ASSERT_EQ(planned.size(), 1u);
-    expectSameEvaluation(planned[0], serial);
 }
 
 /** Trace-cache paths: a cold-recording evaluation (cache miss, live
@@ -318,6 +306,8 @@ TEST(PlanEquivalence, TraceCacheColdAndWarmBitIdenticalToSerial)
     EXPECT_EQ(warm.traceCacheHits, 2u);
     EXPECT_EQ(warm.traceCacheMisses, 0u);
     EXPECT_GT(warm.traceBytes, 0u);
+    // Bytes reused from the store count like bytes written to it.
+    EXPECT_EQ(warm.traceBytes, cold.traceBytes);
 
     // The analysis-only entry point hits the same training entry.
     auto analysisOnly = lpp::core::analyzeWorkload(*w, config);

@@ -125,58 +125,4 @@ TEST(RegexDeathTest, RepeatCountZeroPanics)
     EXPECT_DEATH(Regex::repeat(Regex::symbol(1), 0), "count");
 }
 
-
-TEST(RegexParse, SymbolAndRepeat)
-{
-    auto r = Regex::parse("7");
-    ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->kind(), Regex::Kind::Symbol);
-    EXPECT_EQ(r->symbolId(), 7u);
-
-    auto rep = Regex::parse("3^25");
-    ASSERT_NE(rep, nullptr);
-    ASSERT_EQ(rep->kind(), Regex::Kind::Repeat);
-    EXPECT_EQ(rep->count(), 25u);
-}
-
-TEST(RegexParse, ParenthesizedComposite)
-{
-    auto r = Regex::parse("(0 1 2 3 4)^30");
-    ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->toString(), "(0 1 2 3 4)^30");
-    EXPECT_EQ(r->expandedLength(), 150u);
-}
-
-TEST(RegexParse, NestedStructure)
-{
-    auto r = Regex::parse("9 (0 (1 2)^3)^8 5");
-    ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->expandedLength(), 1 + 8 * 7 + 1);
-}
-
-TEST(RegexParse, RoundTripsToString)
-{
-    const char *cases[] = {"0", "0 1 2", "(0 1)^4", "2^7",
-                           "(0 (1 2)^3 4)^5 6"};
-    for (const char *text : cases) {
-        auto r = Regex::parse(text);
-        ASSERT_NE(r, nullptr) << text;
-        auto again = Regex::parse(r->toString());
-        ASSERT_NE(again, nullptr) << text;
-        EXPECT_EQ(again->expand(), r->expand()) << text;
-    }
-}
-
-TEST(RegexParse, MalformedInputsRejected)
-{
-    EXPECT_EQ(Regex::parse(""), nullptr);
-    EXPECT_EQ(Regex::parse("("), nullptr);
-    EXPECT_EQ(Regex::parse("(1"), nullptr);
-    EXPECT_EQ(Regex::parse("1)"), nullptr);
-    EXPECT_EQ(Regex::parse("1^"), nullptr);
-    EXPECT_EQ(Regex::parse("1^0"), nullptr);
-    EXPECT_EQ(Regex::parse("a b"), nullptr);
-    EXPECT_EQ(Regex::parse("1 ^2"), nullptr);
-}
-
 } // namespace

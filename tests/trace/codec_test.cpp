@@ -1,8 +1,8 @@
 /**
  * @file
- * Codec tests: delta + varint encoding of trace event streams must be
- * a bit-exact inverse of decoding, including access-batch boundaries,
- * and the decoder must reject every form of malformed input.
+ * Codec tests: a recording cut into predictive frames must replay the
+ * live stream bit for bit — every opcode, access-batch boundary, and
+ * extreme address jump — and the content hash must notice bit rot.
  */
 
 #include <gtest/gtest.h>
@@ -13,12 +13,12 @@
 #include "support/random.hpp"
 #include "trace/codec.hpp"
 #include "trace/memory_trace.hpp"
+#include "trace/sink.hpp"
 
 namespace {
 
 using lpp::trace::Addr;
 using lpp::trace::MemoryTrace;
-using lpp::trace::TraceEncoder;
 
 /** Records the stream as a flat, comparable event list. */
 struct FlatSink : lpp::trace::TraceSink
@@ -67,10 +67,9 @@ struct FlatSink : lpp::trace::TraceSink
 
 /** A stream exercising every opcode, batch boundaries, and extreme
  *  address jumps (both directions, full 64-bit range). */
-MemoryTrace
-mixedTrace()
+void
+emitMixed(lpp::trace::TraceSink &t)
 {
-    MemoryTrace t;
     t.onBlock(3, 17);
     t.onAccess(0x10000);
     t.onAccess(0x10008); // +8 delta
@@ -86,64 +85,13 @@ mixedTrace()
     t.onPhaseMarker(9);
     t.onAccess(0x30000);
     t.onEnd();
-    return t;
 }
 
-TEST(TraceCodec, RoundTripPreservesEveryEventAndBatchBoundary)
-{
-    auto trace = mixedTrace();
-    auto payload = lpp::trace::encodeTrace(trace);
-    ASSERT_FALSE(payload.empty());
-
-    FlatSink direct;
-    trace.replay(direct);
-
-    FlatSink decoded;
-    uint64_t events = 0, accesses = 0;
-    ASSERT_TRUE(lpp::trace::decodeTrace(payload.data(), payload.size(),
-                                        decoded, &events, &accesses));
-    EXPECT_EQ(decoded.events, direct.events);
-    EXPECT_EQ(events, trace.eventCount());
-    EXPECT_EQ(accesses, trace.accessCount());
-}
-
-TEST(TraceCodec, EncoderCountsMatchTrace)
-{
-    auto trace = mixedTrace();
-    TraceEncoder enc;
-    trace.replay(enc);
-    EXPECT_EQ(enc.eventCount(), trace.eventCount());
-    EXPECT_EQ(enc.accessCount(), trace.accessCount());
-    EXPECT_EQ(enc.bytes().size(), lpp::trace::encodeTrace(trace).size());
-}
-
-TEST(TraceCodec, LocalStreamsCompressWell)
-{
-    // A sequential sweep (the dominant workload pattern) should cost
-    // far less than the 8 raw bytes per address.
-    MemoryTrace t;
-    std::vector<Addr> batch(4096);
-    Addr a = 0x100000;
-    for (int rep = 0; rep < 8; ++rep) {
-        for (auto &x : batch)
-            x = (a += 8);
-        t.onAccessBatch(batch.data(), batch.size());
-    }
-    t.onEnd();
-    auto payload = lpp::trace::encodeTrace(t);
-    EXPECT_LT(payload.size(), t.accessCount() * 2);
-
-    FlatSink decoded, direct;
-    t.replay(direct);
-    ASSERT_TRUE(lpp::trace::decodeTrace(payload.data(), payload.size(),
-                                        decoded));
-    EXPECT_EQ(decoded.events, direct.events);
-}
-
-TEST(TraceCodec, RandomizedRoundTrip)
+/** A random stream of every event kind over full-range addresses. */
+void
+emitRandom(lpp::trace::TraceSink &t)
 {
     lpp::Rng rng(12345);
-    MemoryTrace t;
     std::vector<Addr> batch;
     for (int i = 0; i < 2000; ++i) {
         switch (rng.below(6)) {
@@ -173,53 +121,48 @@ TEST(TraceCodec, RandomizedRoundTrip)
             break;
         }
     }
-    auto payload = lpp::trace::encodeTrace(t);
-    FlatSink decoded, direct;
-    t.replay(direct);
-    uint64_t events = 0, accesses = 0;
-    ASSERT_TRUE(lpp::trace::decodeTrace(payload.data(), payload.size(),
-                                        decoded, &events, &accesses));
+}
+
+/**
+ * Record `emit` into frames of at most `frame_target` accesses while
+ * logging the live stream, then check the replay delivers the same
+ * events with the same counts.
+ */
+void
+expectFramesRoundTrip(void (*emit)(lpp::trace::TraceSink &),
+                      uint64_t frame_target)
+{
+    MemoryTrace trace;
+    trace.setFrameTargetAccesses(frame_target);
+    FlatSink direct;
+    lpp::trace::FanoutSink both;
+    both.attach(&trace);
+    both.attach(&direct);
+    emit(both);
+    ASSERT_GT(trace.frameCount(), 1u) << "frame target did not split";
+
+    FlatSink decoded;
+    trace.replay(decoded);
     EXPECT_EQ(decoded.events, direct.events);
-    EXPECT_EQ(events, t.eventCount());
-    EXPECT_EQ(accesses, t.accessCount());
+    EXPECT_EQ(trace.eventCount(), direct.events.size());
 }
 
-TEST(TraceCodec, RejectsTruncationAtEveryLength)
+TEST(TraceCodec, RoundTripPreservesEveryEventAndBatchBoundary)
 {
-    auto payload = lpp::trace::encodeTrace(mixedTrace());
-    // Decoding any strict prefix must either fail or decode fewer
-    // events — never crash, never read past the buffer.
-    FlatSink full;
-    ASSERT_TRUE(lpp::trace::decodeTrace(payload.data(), payload.size(),
-                                        full));
-    for (size_t cut = 0; cut < payload.size(); ++cut) {
-        FlatSink sink;
-        uint64_t events = 0;
-        bool ok = lpp::trace::decodeTrace(payload.data(), cut, sink,
-                                          &events);
-        if (ok) {
-            EXPECT_LT(events, full.events.size());
-        }
-    }
+    expectFramesRoundTrip(emitMixed, 4);
 }
 
-TEST(TraceCodec, RejectsUnknownOpcodeAndOversizedBatch)
+TEST(TraceCodec, RandomizedRoundTrip)
 {
-    std::vector<uint8_t> bad{0xFF};
-    FlatSink sink;
-    EXPECT_FALSE(lpp::trace::decodeTrace(bad.data(), bad.size(), sink));
-
-    // Batch claiming more deltas than bytes remain: must be rejected
-    // before any allocation of that size.
-    std::vector<uint8_t> huge{2 /* Batch */, 0xFF, 0xFF, 0xFF, 0xFF,
-                              0xFF, 0xFF, 0xFF, 0xFF, 0x7F};
-    EXPECT_FALSE(
-        lpp::trace::decodeTrace(huge.data(), huge.size(), sink));
+    expectFramesRoundTrip(emitRandom, 4096);
 }
 
 TEST(TraceCodec, ContentHashDetectsBitFlips)
 {
-    auto payload = lpp::trace::encodeTrace(mixedTrace());
+    std::vector<uint8_t> payload(203);
+    lpp::Rng rng(7);
+    for (auto &b : payload)
+        b = static_cast<uint8_t>(rng.below(256));
     auto h = lpp::trace::contentHash64(payload.data(), payload.size());
     for (size_t i = 0; i < payload.size(); i += 7) {
         payload[i] ^= 0x10;

@@ -14,7 +14,7 @@
 #include <fstream>
 #include <vector>
 
-#include "trace/codec.hpp"
+#include "stream_digest.hpp"
 #include "trace/memory_trace.hpp"
 #include "trace/trace_store.hpp"
 
@@ -82,9 +82,9 @@ TEST_F(TraceStoreTest, StoreThenLoadRoundTrips)
     EXPECT_EQ(loaded.eventCount(), t.eventCount());
     EXPECT_EQ(loaded.accessCount(), t.accessCount());
 
-    // Replayed streams are bit-identical: re-encode both and compare.
-    EXPECT_EQ(lpp::trace::encodeTrace(loaded),
-              lpp::trace::encodeTrace(t));
+    // Replayed streams are bit-identical: digest both and compare.
+    EXPECT_EQ(lpp::test::streamDigest(loaded),
+              lpp::test::streamDigest(t));
 }
 
 TEST_F(TraceStoreTest, MissOnAbsentEntryKeyOrParamsMismatch)
@@ -226,7 +226,7 @@ TEST_F(TraceStoreTest, OverwriteReplacesEntryAtomically)
     EXPECT_TRUE(info->stats.valid);
     MemoryTrace out;
     ASSERT_TRUE(store.load("w@s1:x1", 1, out));
-    EXPECT_EQ(lpp::trace::encodeTrace(out), lpp::trace::encodeTrace(t2));
+    EXPECT_EQ(lpp::test::streamDigest(out), lpp::test::streamDigest(t2));
 }
 
 TEST_F(TraceStoreTest, ReplayDeliversDirectlyIntoSink)
@@ -237,7 +237,7 @@ TEST_F(TraceStoreTest, ReplayDeliversDirectlyIntoSink)
 
     MemoryTrace sink;
     ASSERT_TRUE(store.replay("w@s1:x1", 1, sink));
-    EXPECT_EQ(lpp::trace::encodeTrace(sink), lpp::trace::encodeTrace(t));
+    EXPECT_EQ(lpp::test::streamDigest(sink), lpp::test::streamDigest(t));
     MemoryTrace sink2;
     EXPECT_FALSE(store.replay("w@s1:x1", 99, sink2));
 }
