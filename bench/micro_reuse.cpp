@@ -1,7 +1,8 @@
 /**
  * @file
  * Microbenchmarks for the reuse-distance substrate: exact stack
- * distance tracking and variable-distance sampling throughput.
+ * distance tracking (including its compaction upkeep and the sharded
+ * sweep) and variable-distance sampling throughput.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,9 +14,12 @@
 #include "core/parallel.hpp"
 #include "reuse/analyzer.hpp"
 #include "reuse/sampler.hpp"
+#include "reuse/sharded_reuse.hpp"
 #include "reuse/stack.hpp"
 #include "support/flat_map.hpp"
 #include "support/random.hpp"
+#include "support/thread_pool.hpp"
+#include "trace/memory_trace.hpp"
 
 namespace {
 
@@ -46,6 +50,77 @@ BM_ReuseStackSweep(benchmark::State &state)
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ReuseStackSweep)->Arg(1 << 12)->Arg(1 << 18);
+
+/**
+ * The compaction-bound shape of a training run such as fft's: a small
+ * working set (7168 elements) over a long trace, with the stack
+ * reserved from the address space as the sampler reserves it. The time
+ * axis fills every 15 working sets, so a run of this length compacts
+ * many times; the per-access figure includes that upkeep.
+ */
+void
+BM_ReuseStackCompactionBound(benchmark::State &state)
+{
+    const uint64_t working_set = 7168;
+    lpp::Rng rng(13);
+    std::vector<uint64_t> elements(1 << 20);
+    for (size_t i = 0; i < elements.size(); ++i)
+        elements[i] = i % 4 == 0 ? rng.below(working_set)
+                                 : (i * 17) % working_set;
+    for (auto _ : state) {
+        lpp::reuse::ReuseStack stack;
+        stack.reserveElements(working_set);
+        uint64_t sum = 0;
+        for (uint64_t e : elements)
+            sum += stack.access(e);
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(
+        static_cast<int64_t>(state.iterations() * elements.size()));
+}
+BENCHMARK(BM_ReuseStackCompactionBound)->Unit(benchmark::kMillisecond);
+
+/**
+ * The sharded sweep over a recorded trace: chunk-local stacks on the
+ * pool (arg = pool threads) and the sequential boundary resolve.
+ */
+void
+BM_ShardedReuseSweep(benchmark::State &state)
+{
+    lpp::trace::MemoryTrace trace;
+    lpp::Rng rng(17);
+    std::vector<lpp::trace::Addr> batch;
+    for (uint64_t block = 0; block < (1 << 14); ++block) {
+        trace.onBlock(static_cast<lpp::trace::BlockId>(block % 32), 16);
+        batch.clear();
+        const uint64_t base = (block / 1024) * 4096;
+        for (uint64_t i = 0; i < 64; ++i)
+            batch.push_back(8 * (base + (block * 64 + i) % 24000));
+        trace.onAccessBatch(batch.data(), batch.size());
+        trace.onAccess(8 * rng.below(1 << 17));
+    }
+    trace.onEnd();
+
+    lpp::support::ThreadPool pool(static_cast<size_t>(state.range(0)));
+    lpp::reuse::ShardedSweepConfig cfg;
+    cfg.chunkAccesses = 1 << 16;
+    for (auto _ : state) {
+        uint64_t sum = 0;
+        lpp::reuse::shardedReuseSweep(
+            trace, cfg, pool, [&](const lpp::reuse::ShardChunk &c) {
+                for (uint64_t d : c.distances)
+                    sum += d;
+            });
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(
+        static_cast<int64_t>(state.iterations() * trace.accessCount()));
+}
+BENCHMARK(BM_ShardedReuseSweep)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void
 BM_VariableDistanceSampler(benchmark::State &state)

@@ -43,7 +43,8 @@ VariableDistanceSampler::spatiallyIsolated(uint64_t element) const
 {
     if (spatial == 0)
         return true;
-    auto it = sampledElements.lower_bound(element);
+    auto it = std::lower_bound(sampledElements.begin(),
+                               sampledElements.end(), element);
     if (it != sampledElements.end() && *it - element < spatial)
         return false;
     if (it != sampledElements.begin()) {
@@ -83,10 +84,10 @@ VariableDistanceSampler::observe(uint64_t element, uint64_t now,
     // couple of compares for the typical short-distance reuse.
     if (dist != ReuseStack::infinite &&
         dist >= std::min(temporal, qualification)) {
-        auto it = datumIndex.find(element);
-        if (it != datumIndex.end()) {
+        const uint32_t *datum = datumIndex.find(element);
+        if (datum) {
             if (dist >= temporal) {
-                auto &accesses = data[it->second].accesses;
+                auto &accesses = data[*datum].accesses;
                 // Downstream wavelet filtering assumes each datum's
                 // sub-trace is strictly time-ordered (merge sorts only
                 // across data, not within).
@@ -103,9 +104,11 @@ VariableDistanceSampler::observe(uint64_t element, uint64_t now,
         } else if (dist >= qualification &&
                    data.size() < config.maxDataSamples &&
                    spatiallyIsolated(element)) {
-            datumIndex.emplace(element,
-                               static_cast<uint32_t>(data.size()));
-            sampledElements.insert(element);
+            datumIndex.insert(element, static_cast<uint32_t>(data.size()));
+            sampledElements.insert(
+                std::lower_bound(sampledElements.begin(),
+                                 sampledElements.end(), element),
+                element);
             data.push_back(DataSample{element, {}});
             data.back().accesses.push_back(AccessSample{now, dist});
             ++collected;

@@ -16,11 +16,10 @@
 #define LPP_REUSE_SAMPLER_HPP
 
 #include <cstdint>
-#include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "reuse/stack.hpp"
+#include "support/flat_map.hpp"
 #include "trace/sink.hpp"
 #include "trace/types.hpp"
 
@@ -164,8 +163,11 @@ class VariableDistanceSampler : public trace::TraceSink
     SamplerConfig config;
     ReuseStack stack;
     std::vector<DataSample> data;
-    std::unordered_map<uint64_t, uint32_t> datumIndex;
-    std::set<uint64_t> sampledElements;
+    // Most accesses of a long run clear the distance thresholds and
+    // then probe both of these, so both are flat: a robin-hood table
+    // and a sorted vector (at most maxDataSamples entries each).
+    support::FlatMap<uint32_t> datumIndex;
+    std::vector<uint64_t> sampledElements; //!< sorted
 
     uint64_t qualification;
     uint64_t temporal;

@@ -1,7 +1,6 @@
 #include "reuse/sharded_reuse.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "reuse/stack.hpp"
 #include "support/flat_map.hpp"
@@ -12,91 +11,6 @@
 namespace lpp::reuse {
 
 namespace {
-
-/**
- * Global last-access structure for the sequential boundary resolve:
- * ReuseStack's (FlatMap, Fenwick) core on an internal compacted time
- * axis, with the query/remove and ordered-insert split the resolve
- * needs. Mark counts and prefix queries mirror ReuseStack::access
- * exactly, so resolved distances match the serial stack bit for bit.
- */
-class BoundaryResolver
-{
-  public:
-    explicit BoundaryResolver(size_t reserve_elements)
-        : tree(std::max<size_t>(2 * reserve_elements + 64, 1u << 16))
-    {
-        if (reserve_elements > 0)
-            lastG.reserve(reserve_elements);
-    }
-
-    /**
-     * Number of elements whose last access falls after `element`'s,
-     * removing the element's mark (it now lives in the chunk being
-     * resolved). ReuseStack::infinite if the element was never seen.
-     */
-    uint64_t
-    queryRemove(uint64_t element)
-    {
-        uint64_t *slot = lastG.find(element);
-        if (!slot)
-            return ReuseStack::infinite;
-        uint64_t count = live - tree.prefix(*slot);
-        tree.add(*slot, -1);
-        --live;
-        lastG.erase(element);
-        return count;
-    }
-
-    /**
-     * Record `element`'s new last access. Calls must come in
-     * increasing global-time order; the element must not currently
-     * hold a mark (boundary processing removed it).
-     */
-    void
-    note(uint64_t element)
-    {
-        if (next >= tree.size())
-            compact();
-        LPP_DCHECK(lastG.find(element) == nullptr,
-                   "element %llu still marked at end-of-chunk insert",
-                   static_cast<unsigned long long>(element));
-        lastG.insert(element, next);
-        tree.add(next, +1);
-        ++live;
-        ++next;
-    }
-
-    /** @return distinct elements currently tracked. */
-    uint64_t size() const { return lastG.size(); }
-
-  private:
-    void
-    compact()
-    {
-        std::vector<std::pair<uint64_t, uint64_t>> order; // (time, elem)
-        order.reserve(lastG.size());
-        lastG.forEach([&order](uint64_t element, uint64_t time) {
-            order.emplace_back(time, element);
-        });
-        std::sort(order.begin(), order.end());
-        size_t want = std::max<size_t>(64, 2 * order.size() + 64);
-        tree = FenwickTree(std::max(want, tree.size()));
-        live = 0;
-        next = 0;
-        for (auto &te : order) {
-            *lastG.find(te.second) = next;
-            tree.add(next, +1);
-            ++live;
-            ++next;
-        }
-    }
-
-    FenwickTree tree;
-    support::FlatMap<uint64_t> lastG;
-    uint64_t live = 0;
-    uint64_t next = 0;
-};
 
 /** Per-chunk state of the full sweep's parallel local pass. */
 struct ChunkState
@@ -167,28 +81,35 @@ localPass(trace::TraceCursor &cursor,
 
 /**
  * Sequential part: resolve the chunk's boundary distances against the
- * global structure, then move every locally-touched element's global
- * mark to its final in-chunk position (in increasing time order, so
- * the resolver's internal axis stays sorted).
+ * global stack, then move every locally-touched element's global mark
+ * to its final in-chunk position.
+ *
+ * The global stack's last-access times are on its own (compacted)
+ * axis; only their order matters. Resolving the k-th boundary access
+ * of element e removes e's mark and counts the elements last accessed
+ * after it; adding k counts the chunk's earlier boundary elements,
+ * whose marks were removed the same way, so the sum is e's exact
+ * serial distance. The chunk stack never compacts, so its live marks
+ * are local access indices: visiting them in increasing order
+ * re-inserts the touched elements in the order of their last access.
  */
 void
-resolveChunk(ChunkState &st, BoundaryResolver &resolver)
+resolveChunk(ChunkState &st, ReuseStack &global)
 {
     uint64_t k = 0;
     for (size_t pos : st.firstTouch) {
-        uint64_t count = resolver.queryRemove(st.chunk.elements[pos]);
+        uint64_t count = global.remove(st.chunk.elements[pos]);
         if (count != ReuseStack::infinite)
             st.chunk.distances[pos] = k + count;
         ++k;
     }
-    std::vector<std::pair<uint64_t, uint64_t>> order; // (local time, elem)
-    order.reserve(st.firstTouch.size());
-    st.stack.forEachLastAccess([&order](uint64_t element, uint64_t time) {
-        order.emplace_back(time, element);
+    st.stack.forEachLastAccessTime([&](size_t time) {
+        uint64_t element = st.chunk.elements[time];
+        uint64_t d = global.access(element);
+        LPP_DCHECK(d == ReuseStack::infinite,
+                   "element %llu still marked at end-of-chunk insert",
+                   static_cast<unsigned long long>(element));
     });
-    std::sort(order.begin(), order.end());
-    for (auto &te : order)
-        resolver.note(te.second);
 }
 
 size_t
@@ -283,7 +204,8 @@ shardedReuseSweep(const trace::MemoryTrace &trace,
     TraceCounts counts;
     counts.accesses = trace.accessCount();
     auto ranges = trace.chunks(cfg.chunkAccesses);
-    BoundaryResolver resolver(cfg.reserveElements);
+    ReuseStack global;
+    global.reserveElements(cfg.reserveElements);
 
     const size_t wave = waveSize(pool);
     auto cursors = cursorsFor(trace, wave);
@@ -294,12 +216,12 @@ shardedReuseSweep(const trace::MemoryTrace &trace,
             localPass(cursors[i], ranges[base + i], states[i]);
         });
         for (size_t i = 0; i < n; ++i) {
-            resolveChunk(states[i], resolver);
+            resolveChunk(states[i], global);
             consume(states[i].chunk);
             states[i] = ChunkState{}; // free before the next wave
         }
     }
-    counts.distinctElements = resolver.size();
+    counts.distinctElements = global.distinctCount();
     return counts;
 }
 

@@ -18,10 +18,9 @@
  *                                this chunk (each was an earlier
  *                                boundary access, by definition)
  *     + |{x untouched in this chunk : lastAccess(x) > lastAccess(e)}|
- *                              — served by a Fenwick-over-last-access
- *                                query, with already-resolved boundary
- *                                elements' marks removed so the two
- *                                terms never double-count
+ *                              — ReuseStack::remove on one global
+ *                                stack, which also takes e's mark out
+ *                                so the two terms never double-count
  *
  * or infinite if e was never seen. After a chunk's boundaries resolve,
  * every element the chunk touched gets its global last-access mark

@@ -1,14 +1,50 @@
 #include "reuse/stack.hpp"
 
 #include <algorithm>
-#include <utility>
-
-#include "support/logging.hpp"
 
 namespace lpp::reuse {
 
+namespace {
+
+/** Slots left after compacting to `live` elements: 15·live + 64 free. */
+size_t
+slotsFor(size_t live)
+{
+    LPP_REQUIRE(live <= (RankBitmap::maxSlots - 64) / 16,
+                "reuse stack of %zu live elements exceeds the rank "
+                "bitmap's %zu slots",
+                live, RankBitmap::maxSlots);
+    return 16 * live + 64;
+}
+
+} // namespace
+
+void
+RankBitmap::fillPrefix(size_t marks, size_t n)
+{
+    LPP_REQUIRE(marks <= n && n <= maxSlots,
+                "rank bitmap of %zu marks over %zu slots", marks, n);
+    slots = n;
+    marked = marks;
+    tail = marks == 0 ? 0 : (marks - 1) / 64;
+    words.assign((n + 63) / 64, 0);
+    std::fill_n(words.begin(), marks / 64, ~uint64_t{0});
+    if (marks % 64 != 0)
+        words[marks / 64] = (uint64_t{1} << (marks % 64)) - 1;
+    // Linear Fenwick build over every word before the tail: each node
+    // pushes its total to its parent.
+    counts.assign(words.size() + 1, 0);
+    for (size_t k = 1; k < counts.size(); ++k) {
+        if (k - 1 < tail)
+            counts[k] += static_cast<uint32_t>(std::popcount(words[k - 1]));
+        size_t parent = k + (k & (~k + 1));
+        if (parent < counts.size())
+            counts[parent] += counts[k];
+    }
+}
+
 ReuseStack::ReuseStack(size_t capacity_hint)
-    : tree(std::max<size_t>(capacity_hint, 64))
+    : marks(std::max<size_t>(capacity_hint, 64))
 {
 }
 
@@ -16,21 +52,18 @@ void
 ReuseStack::reserveElements(size_t elements)
 {
     lastTime.reserve(elements);
-    size_t want = 2 * elements + 64;
-    if (now == 0 && liveMarks == 0 && want > tree.size())
-        tree = FenwickTree(want);
+    size_t want = slotsFor(elements);
+    if (now == 0 && lastTime.empty() && want > marks.size())
+        marks = RankBitmap(want);
 }
 
 uint64_t
 ReuseStack::access(uint64_t element)
 {
-    if (now >= tree.size())
+    if (now >= marks.size())
         compact();
 
     ++accesses;
-    LPP_DCHECK(now < tree.size(),
-               "time %llu outside tree of %zu after compaction",
-               static_cast<unsigned long long>(now), tree.size());
     uint64_t dist = infinite;
     uint64_t *slot = lastTime.find(element);
     if (slot) {
@@ -40,54 +73,52 @@ ReuseStack::access(uint64_t element)
                    static_cast<unsigned long long>(now));
         // Distinct elements touched strictly after prev: marks in
         // (prev, now). The mark at prev is this element's own.
-        LPP_DCHECK(tree.prefix(prev) <= liveMarks,
-                   "mark count underflow at time %llu",
-                   static_cast<unsigned long long>(prev));
-        dist = liveMarks - tree.prefix(prev);
-        tree.add(prev, -1);
-        --liveMarks;
+        dist = lastTime.size() - marks.rank(prev);
+        marks.clear(prev);
         *slot = now;
     } else {
         lastTime.insert(element, now);
     }
-    tree.add(now, +1);
-    ++liveMarks;
+    marks.set(now);
     ++now;
     return dist;
+}
+
+uint64_t
+ReuseStack::remove(uint64_t element)
+{
+    uint64_t *slot = lastTime.find(element);
+    if (!slot)
+        return infinite;
+    uint64_t after = lastTime.size() - marks.rank(*slot);
+    marks.clear(*slot);
+    lastTime.erase(element);
+    return after;
 }
 
 void
 ReuseStack::compact()
 {
-    // Reassign times 0..D-1 in increasing last-access order; size the new
-    // tree at >= 2D so the next compaction is at least D accesses away.
-    std::vector<std::pair<uint64_t, uint64_t>> order; // (time, element)
-    order.reserve(lastTime.size());
-    lastTime.forEach([&order](uint64_t element, uint64_t time) {
-        order.emplace_back(time, element);
+    // Renumber by rank: the k-th oldest live mark moves to time k - 1,
+    // which keeps every element's relative order (all a distance
+    // query sees) while packing the live marks into [0, D).
+    const size_t live = lastTime.size();
+    lastTime.forEach([this](uint64_t, uint64_t &time) {
+        LPP_DCHECK(marks.test(time), "element without a mark at %llu",
+                   static_cast<unsigned long long>(time));
+        time = marks.rank(time) - 1;
     });
-    std::sort(order.begin(), order.end());
-
-    size_t want = std::max<size_t>(64, 2 * order.size() + 64);
-    tree = FenwickTree(std::max(want, tree.size()));
-    liveMarks = 0;
-    now = 0;
-    for (auto &te : order) {
-        *lastTime.find(te.second) = now;
-        tree.add(now, +1);
-        ++liveMarks;
-        ++now;
-    }
+    marks.fillPrefix(live, slotsFor(live));
+    now = live;
 }
 
 void
 ReuseStack::reset()
 {
-    tree = FenwickTree(tree.size());
+    marks.fillPrefix(0, marks.size());
     lastTime.clear();
     now = 0;
     accesses = 0;
-    liveMarks = 0;
 }
 
 } // namespace lpp::reuse

@@ -6,10 +6,18 @@
  * touched since the previous access to the same element (Mattson et al.,
  * 1970). The classic near-linear algorithm keeps, for every element, the
  * time of its most recent access, and counts how many "most recent" times
- * fall after a given time — an order-statistics query served here by a
- * Fenwick tree over time slots, with periodic slot compaction so memory
- * stays proportional to the number of distinct elements rather than the
- * trace length.
+ * fall after a given time — an order-statistics query over time slots.
+ *
+ * The slots are a rank bitmap (RankBitmap): one occupancy bit per time
+ * slot plus 32-bit Fenwick counts over 64-slot words, about 1.5 bits per
+ * slot, so the time axis of a stack with tens of thousands of live
+ * elements sits in L2. When the time counter reaches the last slot the
+ * stack compacts by rank: an element's new time is its rank among the
+ * live marks, which keeps the order, needs one pass over the last-access
+ * table and no sort, and leaves 16·D + 64 slots for D live elements — so
+ * compactions come at most once per 15·D accesses, and memory stays
+ * proportional to the distinct elements (about 3 bytes of slots per
+ * element after a compaction) rather than to the trace length.
  *
  * The last-access table is the per-access hot probe; it uses the flat
  * robin-hood map (support/flat_map.hpp) instead of std::unordered_map so
@@ -20,52 +28,137 @@
 #ifndef LPP_REUSE_STACK_HPP
 #define LPP_REUSE_STACK_HPP
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "support/flat_map.hpp"
+#include "support/logging.hpp"
 
 namespace lpp::reuse {
 
 /**
- * Fenwick (binary indexed) tree over {0,1} slot occupancy supporting
- * point update and prefix-sum query in O(log n).
+ * Set of marked slots over [0, size()) with rank queries: one bit per
+ * slot, plus a Fenwick (binary indexed) tree of per-word mark counts.
+ * rank(i) is the Fenwick prefix over the words before slot i's word
+ * plus a popcount inside that word, so set, clear and rank are
+ * O(log(size / 64)).
  *
- * Nodes are 64-bit: a node's count is bounded by the number of live
- * marks, which equals the number of distinct elements seen — a
- * billion-access trace over a wide address space would overflow 32-bit
- * node counts near the root.
+ * The highest word marked so far (the tail) is kept out of the Fenwick
+ * counts until a mark lands in a later word. A reuse stack marks its
+ * slots in increasing order, so marking the newest slot is one bit
+ * operation (plus one Fenwick update per 64 slots), and a clear or
+ * rank inside the tail word — a reuse of an element last touched in
+ * the current 64-slot word — never touches the Fenwick counts.
+ *
+ * Counts are 32-bit: no node can count more marks than there are
+ * slots, and the slot count is capped at maxSlots.
  */
-class FenwickTree
+class RankBitmap
 {
   public:
-    /** @param n number of slots. */
-    explicit FenwickTree(size_t n) : tree(n + 1, 0) {}
+    /** Largest supported slot count (keeps every count in 32 bits). */
+    static constexpr size_t maxSlots = 0xFFFFFFFFu;
 
-    /** Add `delta` (+1/-1) at slot `i`. */
+    /** @param slots number of slots, all initially clear. */
+    explicit RankBitmap(size_t slots = 0) { fillPrefix(0, slots); }
+
+    /** Mark slot `i`, which must be clear. */
     void
-    add(size_t i, int delta)
+    set(size_t i)
     {
-        for (size_t k = i + 1; k < tree.size(); k += k & (~k + 1))
-            tree[k] += static_cast<uint64_t>(static_cast<int64_t>(delta));
+        LPP_DCHECK(i < slots && !test(i), "set of slot %zu (of %zu) "
+                   "that is out of range or already marked", i, slots);
+        size_t w = i >> 6;
+        if (w > tail) {
+            // Every word after the tail is empty: publish the tail's
+            // count and make this word the new tail.
+            addToWord(tail, std::popcount(words[tail]));
+            tail = w;
+        } else if (w < tail) {
+            addToWord(w, 1);
+        }
+        words[w] |= uint64_t{1} << (i & 63);
+        ++marked;
     }
 
-    /** @return sum of slots [0, i]. */
-    uint64_t
-    prefix(size_t i) const
+    /** Unmark slot `i`, which must be marked. */
+    void
+    clear(size_t i)
     {
-        uint64_t s = 0;
-        for (size_t k = i + 1; k > 0; k -= k & (~k + 1))
-            s += tree[k];
-        return s;
+        LPP_DCHECK(i < slots && test(i), "clear of slot %zu (of %zu) "
+                   "that is out of range or not marked", i, slots);
+        size_t w = i >> 6;
+        if (w != tail)
+            addToWord(w, -1);
+        words[w] &= ~(uint64_t{1} << (i & 63));
+        --marked;
+    }
+
+    /** @return whether slot `i` is marked. */
+    bool
+    test(size_t i) const
+    {
+        return (words[i >> 6] >> (i & 63)) & 1;
+    }
+
+    /** @return number of marked slots in [0, i]. */
+    uint64_t
+    rank(size_t i) const
+    {
+        size_t w = i >> 6;
+        if (w >= tail) {
+            // Nothing is marked after the tail word.
+            uint64_t above = w == tail ? words[w] & ~lowBits(i) : 0;
+            return marked - static_cast<uint64_t>(std::popcount(above));
+        }
+        uint64_t r =
+            static_cast<uint64_t>(std::popcount(words[w] & lowBits(i)));
+        for (size_t k = w; k > 0; k -= k & (~k + 1))
+            r += counts[k];
+        return r;
     }
 
     /** @return number of slots. */
-    size_t size() const { return tree.size() - 1; }
+    size_t size() const { return slots; }
+
+    /**
+     * Resize to `n` slots with exactly slots [0, marks) marked; the
+     * counts are rebuilt in one linear pass.
+     */
+    void fillPrefix(size_t marks, size_t n);
+
+    /** Apply `fn(slot)` to every marked slot, in increasing order. */
+    template <typename Fn>
+    void
+    forEachSet(Fn &&fn) const
+    {
+        for (size_t w = 0; w < words.size(); ++w)
+            for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1)
+                fn((w << 6) + static_cast<size_t>(std::countr_zero(bits)));
+    }
 
   private:
-    std::vector<uint64_t> tree;
+    /** @return the bits of slot i's word at or below slot i. */
+    static uint64_t
+    lowBits(size_t i)
+    {
+        return ~uint64_t{0} >> (63 - (i & 63));
+    }
+
+    void
+    addToWord(size_t w, int delta)
+    {
+        for (size_t k = w + 1; k < counts.size(); k += k & (~k + 1))
+            counts[k] += static_cast<uint32_t>(delta);
+    }
+
+    std::vector<uint64_t> words;
+    std::vector<uint32_t> counts; //!< Fenwick over words, 1-based
+    size_t tail = 0;              //!< highest word marked; not counted
+    uint64_t marked = 0;
+    size_t slots = 0;
 };
 
 /**
@@ -73,9 +166,9 @@ class FenwickTree
  *
  * access(e) returns the LRU stack distance of the access, or
  * ReuseStack::infinite for the first access to e. The tracker compacts
- * its time axis whenever the running time counter fills the Fenwick
- * capacity; compaction is amortized O(1) per access because capacity is
- * kept at least twice the number of live elements.
+ * its time axis by rank whenever the running time counter fills the
+ * bitmap; compaction is amortized O(1) per access because it leaves
+ * 15·D + 64 free slots for D live elements.
  */
 class ReuseStack
 {
@@ -90,7 +183,8 @@ class ReuseStack
      * Pre-size for a trace touching about `elements` distinct elements
      * (typically a workload's address-space size). Reserves the
      * last-access table and, while no history exists yet, widens the
-     * time axis so the first compactions are pushed past the warm-up.
+     * time axis to the post-compaction size for that many elements so
+     * the first compaction is pushed past the warm-up.
      */
     void reserveElements(size_t elements);
 
@@ -100,22 +194,30 @@ class ReuseStack
      */
     uint64_t access(uint64_t element);
 
-    /** @return number of distinct elements seen. */
+    /**
+     * Forget `element`, as if it had never been accessed.
+     * @return the number of elements last accessed after it (the
+     *         distance its next access would have had), or `infinite`
+     *         if it was not tracked.
+     */
+    uint64_t remove(uint64_t element);
+
+    /** @return number of distinct elements tracked. */
     uint64_t distinctCount() const { return lastTime.size(); }
 
     /**
-     * Visit (element, last-access time) for every element seen, in
-     * unspecified order. Times are on the stack's internal (compacted)
+     * Visit the last-access time of every tracked element, in
+     * increasing order. Times are on the stack's internal (compacted)
      * axis; they equal access indices only while no compaction has
      * happened — guaranteed when the stack was constructed with a
      * capacity hint covering the whole access sequence, which is how
-     * the sharded oracle's per-chunk stacks use this.
+     * the sharded sweep's per-chunk stacks use this.
      */
     template <typename Fn>
     void
-    forEachLastAccess(Fn &&fn) const
+    forEachLastAccessTime(Fn &&fn) const
     {
-        lastTime.forEach(fn);
+        marks.forEachSet(fn);
     }
 
     /** @return total accesses processed. */
@@ -127,11 +229,10 @@ class ReuseStack
   private:
     void compact();
 
-    FenwickTree tree;
+    RankBitmap marks;
     support::FlatMap<uint64_t> lastTime;
     uint64_t now = 0;
     uint64_t accesses = 0;
-    uint64_t liveMarks = 0;
 };
 
 } // namespace lpp::reuse

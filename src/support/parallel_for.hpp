@@ -33,6 +33,7 @@
 #include <functional>
 #include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "support/mutex.hpp"
@@ -131,7 +132,11 @@ parallelFor(ThreadPool &pool, size_t n, Fn &&fn)
         MutexLock lock(state->mtx);
         while (state->done.load(std::memory_order_acquire) < n)
             state->cv.wait(state->mtx);
-        error = state->error;
+        // Take the error out of the shared state: a helper may still
+        // hold the last reference to the state, and the caller must
+        // own the last reference to the exception it rethrows and
+        // reads, or a helper could free it while it is being read.
+        error = std::exchange(state->error, nullptr);
     }
     if (error)
         std::rethrow_exception(error);

@@ -332,9 +332,8 @@ AddressPredictor::reset(const FrameSeeds &seeds)
 }
 
 Addr
-AddressPredictor::predict() const
+AddressPredictor::predictFrom(const Entry &e) const
 {
-    const Entry &e = table[index()];
     if (e.epoch != epoch)
         return prevAddr; // cold entry: delta-chain fallback
     if (e.prevConf > e.conf) // cross-lane mode won the classification
@@ -345,9 +344,8 @@ AddressPredictor::predict() const
 }
 
 void
-AddressPredictor::update(Addr actual)
+AddressPredictor::train(Entry &e, Addr actual)
 {
-    Entry &e = table[index()];
     int64_t dPrev = static_cast<int64_t>(actual - prevAddr);
     if (e.epoch != epoch) {
         e = Entry{};
@@ -422,17 +420,19 @@ FrameEncoder::onBlock(BlockId block, uint32_t instructions)
 void
 FrameEncoder::appendAccess(Addr addr)
 {
-    Addr pred = predictor.predict();
-    bool hit = pred == addr;
     if ((bitCnt & 7) == 0)
         bitmapSec.push_back(0);
-    if (hit)
-        bitmapSec.back() |=
-            static_cast<uint8_t>(1u << (bitCnt & 7));
-    else
-        putVarint(residueSec, zigzag(addr, pred));
+    predictor.step(
+        [this](Addr pred, Addr &actual) {
+            if (pred == actual)
+                bitmapSec.back() |=
+                    static_cast<uint8_t>(1u << (bitCnt & 7));
+            else
+                putVarint(residueSec, zigzag(actual, pred));
+            return true;
+        },
+        addr);
     ++bitCnt;
-    predictor.update(addr);
 }
 
 void
@@ -599,17 +599,19 @@ FrameDecoder::decodeAddr(Addr &addr)
     bool hit = false;
     if (!readBit(hit))
         return false;
-    Addr pred = predictor.predict();
-    if (hit) {
-        addr = pred;
-    } else {
-        uint64_t coded = 0;
-        if (!readVarint(res, resEnd, coded))
-            return false;
-        addr = unzigzag(coded, pred);
-    }
-    predictor.update(addr);
-    return true;
+    return predictor.step(
+        [this, hit](Addr pred, Addr &actual) {
+            if (hit) {
+                actual = pred;
+                return true;
+            }
+            uint64_t coded = 0;
+            if (!readVarint(res, resEnd, coded))
+                return false;
+            actual = unzigzag(coded, pred);
+            return true;
+        },
+        addr);
 }
 
 bool
@@ -618,16 +620,18 @@ FrameDecoder::decodeRun(Addr *dst, uint64_t n)
     uint64_t i = 0;
     while (i < n) {
         // 4-wide unrolled fast path: four consecutive hit bits inside
-        // one bitmap byte decode as four predict/update steps with no
+        // one bitmap byte decode as four predictor steps with no
         // residue bytes and no per-bit cursor checks.
         if (i + 4 <= n && bitPos + 4 <= bitAvail &&
             (bitPos & 7) <= 4 &&
             ((bm[bitPos >> 3] >> (bitPos & 7)) & 0xFu) == 0xFu) {
-            for (int k = 0; k < 4; ++k) {
-                Addr a = predictor.predict();
-                predictor.update(a);
-                dst[i + static_cast<uint64_t>(k)] = a;
-            }
+            for (uint64_t k = 0; k < 4; ++k)
+                predictor.step(
+                    [](Addr pred, Addr &actual) {
+                        actual = pred;
+                        return true;
+                    },
+                    dst[i + k]);
             bitPos += 4;
             i += 4;
             continue;

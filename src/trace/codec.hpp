@@ -25,7 +25,7 @@
  * Both sides run the identical predictor in lockstep, so the decoder
  * reconstructs every address from the bit stream alone; the 4-wide
  * unrolled fast path turns four consecutive 1-bits into four
- * predict/update steps with no byte decoding at all.
+ * predictor steps with no byte decoding at all.
  *
  * Sealing additionally runs each section through a byte-level LZ pass
  * (lzPack below). The event section is the big winner — workload
@@ -221,8 +221,9 @@ bool unpackFrame(const FrameInfo &info, const uint8_t *events,
  * the cross-lane confidence beats the stride confidence the entry
  * predicts prevAddr + prevDelta instead.
  *
- * Determinism is the contract: predict() depends only on the stream
- * prefix already updated, so encoder and decoder agree bit for bit.
+ * Determinism is the contract: a prediction depends only on the
+ * stream prefix already trained on, so encoder and decoder agree bit
+ * for bit.
  */
 class AddressPredictor
 {
@@ -243,11 +244,23 @@ class AddressPredictor
         ctxLane = 0;
     }
 
-    /** @return the predicted next address (call before update()). */
-    Addr predict() const;
-
-    /** Train on the actual address and advance the lane. */
-    void update(Addr actual);
+    /**
+     * One access, with one table lookup: `resolve(predicted, actual)`
+     * sets `actual` from the prediction (the decoder) or leaves the
+     * known address there (the encoder), then the predictor trains on
+     * `actual` and advances the lane. If `resolve` returns false the
+     * predictor is left unchanged and step() returns false.
+     */
+    template <typename Resolve>
+    bool
+    step(Resolve &&resolve, Addr &actual)
+    {
+        Entry &e = table[index()];
+        if (!resolve(predictFrom(e), actual))
+            return false;
+        train(e, actual);
+        return true;
+    }
 
     /** @return the current codec seeds (for sealing a frame). */
     FrameSeeds
@@ -270,6 +283,8 @@ class AddressPredictor
     };
 
     size_t index() const;
+    Addr predictFrom(const Entry &e) const;
+    void train(Entry &e, Addr actual);
 
     std::vector<Entry> table;
     uint32_t epoch = 1;

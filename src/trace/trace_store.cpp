@@ -18,7 +18,7 @@ namespace lpp::trace {
 namespace {
 
 constexpr uint32_t storeMagic = 0x3254504Cu; // "LPT2"
-constexpr uint32_t storeVersion = 2;
+constexpr uint32_t storeVersion = 3;
 
 /** Fixed-width little-endian header preceding key, directory, and
  *  frame payloads. */
@@ -36,7 +36,7 @@ struct EntryHeader
     uint8_t historyDepth = 0;
     uint64_t frameCount = 0;
     uint64_t payloadBytes = 0; //!< concatenated frame payload bytes
-    uint64_t indexHash = 0;    //!< contentHash64 of the directory bytes
+    uint64_t indexHash = 0;    //!< directoryHash(): directory + stats
     uint32_t keyBytes = 0;
 };
 
@@ -143,6 +143,22 @@ parseIndexEntry(const uint8_t *&p, const uint8_t *end, FrameInfo &f)
            get(p, end, f.seeds.ctxLane);
 }
 
+/**
+ * The hash guarding an entry's frame directory and its precount
+ * statistics. The statistics size the sampler on a store hit, so a
+ * flipped statistics bit must fail verification like a flipped
+ * directory bit does; folding them into the directory hash guards them
+ * without another header field.
+ */
+uint64_t
+directoryHash(const std::vector<uint8_t> &directory, const EntryHeader &h)
+{
+    std::vector<uint8_t> bytes(directory);
+    put(bytes, h.hasStats);
+    put(bytes, h.distinctElements);
+    return contentHash64(bytes.data(), bytes.size());
+}
+
 /** An open entry whose header, key, and size already verified. */
 struct OpenEntry
 {
@@ -217,7 +233,7 @@ readIndex(OpenEntry &entry, std::vector<FrameInfo> &index)
                   static_cast<std::streamsize>(raw.size()));
     if (entry.in.gcount() != static_cast<std::streamsize>(raw.size()))
         return false;
-    if (contentHash64(raw.data(), raw.size()) != h.indexHash)
+    if (directoryHash(raw, h) != h.indexHash)
         return false;
 
     index.resize(static_cast<size_t>(h.frameCount));
@@ -309,65 +325,6 @@ TraceStore::lookup(const std::string &key, uint64_t params_hash) const
 }
 
 bool
-TraceStore::replay(const std::string &key, uint64_t params_hash,
-                   TraceSink &sink) const
-{
-    OpenEntry entry;
-    const std::string path = pathFor(key, params_hash);
-    if (!openEntry(path, key, params_hash, entry))
-        return false;
-    std::vector<FrameInfo> index;
-    if (!readIndex(entry, index)) {
-        warn("trace store: corrupt frame directory for '%s' (%s); "
-             "falling back to live execution",
-             key.c_str(), path.c_str());
-        return false;
-    }
-
-    // Decode only entries recorded with the default predictor
-    // geometry, as load() does for a default recording: the header is
-    // not hash-guarded, and frames decoded under another geometry
-    // would yield a different stream with every hash intact.
-    const PredictorConfig cfg;
-    if (!(cfg == PredictorConfig{entry.header.tableBits,
-                                 entry.header.laneBits,
-                                 entry.header.historyDepth}))
-        return false;
-
-    // Stream one frame at a time through reused buffers: peak memory
-    // is one frame payload plus one decoded batch, independent of how
-    // long the recorded execution ran.
-    FrameDecoder dec(cfg);
-    std::vector<uint8_t> payload;
-    FrameSections sections;
-    std::vector<Addr> scratch;
-    for (const FrameInfo &f : index) {
-        if (!readFramePayload(entry, f, payload)) {
-            warn("trace store: frame hash mismatch for '%s' (%s); "
-                 "falling back to live execution",
-                 key.c_str(), path.c_str());
-            return false;
-        }
-        if (!unpackFrame(f, payload.data(), sections)) {
-            warn("trace store: corrupt packed section for '%s' (%s); "
-                 "falling back to live execution",
-                 key.c_str(), path.c_str());
-            return false;
-        }
-        dec.begin(f, sections.events, sections.bitmap,
-                  sections.residue);
-        for (;;) {
-            FrameDecoder::Status st = dec.next(&sink, scratch);
-            if (st == FrameDecoder::Status::Done)
-                break;
-            if (st == FrameDecoder::Status::Error)
-                return false;
-        }
-    }
-    return true;
-}
-
-bool
 TraceStore::load(const std::string &key, uint64_t params_hash,
                  StreamingTrace &out) const
 {
@@ -445,7 +402,7 @@ TraceStore::store(const std::string &key, uint64_t params_hash,
     header.historyDepth = static_cast<uint8_t>(cfg.historyDepth);
     header.frameCount = frameCount;
     header.payloadBytes = payloadBytes;
-    header.indexHash = contentHash64(index.data(), index.size());
+    header.indexHash = directoryHash(index, header);
     header.keyBytes = static_cast<uint32_t>(key.size());
     auto head = serializeHeader(header);
 

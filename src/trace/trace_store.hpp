@@ -16,9 +16,8 @@
  * codec seeds, and a payload hash — and is itself hash-guarded, so a
  * load verifies the directory once and each frame before trusting it.
  * Because frames are stored exactly as StreamingTrace holds them in
- * memory, load() adopts the bytes without decoding a single event, and
- * replay() streams the file one frame at a time through a reused
- * buffer — warm-start memory is one frame, not one trace.
+ * memory, load() adopts the bytes without decoding a single event;
+ * StreamingTrace::replay then decodes one frame at a time.
  *
  * One entry per execution key (core::workloadKey renders
  * `name@s<seed>:x<scale>`), qualified by a caller-supplied content hash
@@ -35,7 +34,9 @@
  * The header also carries the precount statistics (access count,
  * distinct-element working set) the phase detector needs to size its
  * sampler, so a warm cache skips the precount pass entirely — the
- * "trace-derived counts" handoff of phase::PhaseDetector.
+ * "trace-derived counts" handoff of phase::PhaseDetector. The
+ * directory hash covers the statistics too, so they are verified by
+ * every successful load(); lookup() alone reports them unverified.
  */
 
 #ifndef LPP_TRACE_TRACE_STORE_HPP
@@ -45,8 +46,6 @@
 #include <optional>
 #include <string>
 #include <vector>
-
-#include "trace/sink.hpp"
 
 namespace lpp::trace {
 
@@ -86,27 +85,13 @@ class TraceStore
                         uint64_t params_hash) const;
 
     /**
-     * Header-verified probe: cheap (no payload read). Empty on a
-     * missing entry or any header mismatch.
+     * Header-verified probe: cheap (no directory or payload read).
+     * Empty on a missing entry or any header mismatch. The reported
+     * statistics are trustworthy only once load() of the entry has
+     * succeeded.
      */
     std::optional<StoredTraceInfo> lookup(const std::string &key,
                                           uint64_t params_hash) const;
-
-    /**
-     * Stream the entry straight into `sink`, one frame at a time,
-     * preserving event order and batch boundaries exactly. Each
-     * frame's hash is verified before any of its events is delivered,
-     * and decoded counts are verified against the directory. Only
-     * entries recorded with the default predictor geometry replay.
-     *
-     * @return false on miss, hash mismatch, or malformed payload — in
-     *         which case nothing may be trusted and the caller must
-     *         fall back to live execution. `sink` may have seen a
-     *         partial stream only if a later frame was malformed
-     *         (never for a simple miss).
-     */
-    bool replay(const std::string &key, uint64_t params_hash,
-                TraceSink &sink) const;
 
     /**
      * Adopt the entry's frames into a recording for repeated replay.

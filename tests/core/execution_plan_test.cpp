@@ -233,22 +233,31 @@ TEST(ExecutionPlan, FailureAbandonsDependentsButRunsTheRest)
 TEST(ExecutionPlan, ParallelSchedulingMatchesSerial)
 {
     // Diamond per "workload": one base execution feeding two steps
-    // feeding a join step; eight independent diamonds.
+    // feeding a join step; eight independent diamonds. The two arms
+    // may run concurrently, so each writes its own slot and only the
+    // join, which runs after both, combines them.
     auto build = [](ExecutionPlan &plan, std::vector<uint64_t> &out,
                     std::vector<TagSink> &sinks) {
-        out.assign(8, 0);
+        out.assign(3 * 8, 0);
         sinks.reserve(8);
         for (int w = 0; w < 8; ++w) {
             sinks.emplace_back("w" + std::to_string(w));
             TagSink *sink = &sinks.back();
-            uint64_t *slot = &out[w];
+            uint64_t *slot = &out[3 * w];
+            uint64_t *leftSlot = slot + 1;
+            uint64_t *rightSlot = slot + 2;
             auto base = plan.addPass("w" + std::to_string(w) + "@1",
                                      emitRunner(nullptr, 8 + w),
                                      [sink] { return sink; });
-            auto left = plan.addStep([slot, sink] { *slot += sink->accesses; },
-                                     {base});
-            auto right = plan.addStep([slot] { *slot += 1000; }, {base});
-            plan.addStep([slot] { *slot *= 3; }, {left, right});
+            auto left = plan.addStep(
+                [leftSlot, sink] { *leftSlot = sink->accesses; }, {base});
+            auto right =
+                plan.addStep([rightSlot] { *rightSlot = 1000; }, {base});
+            plan.addStep(
+                [slot, leftSlot, rightSlot] {
+                    *slot = (*leftSlot + *rightSlot) * 3;
+                },
+                {left, right});
         }
     };
 
@@ -268,7 +277,7 @@ TEST(ExecutionPlan, ParallelSchedulingMatchesSerial)
     }
     EXPECT_EQ(serialOut, parallelOut);
     for (int w = 0; w < 8; ++w)
-        EXPECT_EQ(serialOut[w], (8u + w + 1000u) * 3u);
+        EXPECT_EQ(serialOut[3 * w], (8u + w + 1000u) * 3u);
 }
 
 TEST(ExecutionPlanDeathTest, RunIsOneShotAndStatsQueriesNeedARun)

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -329,6 +330,58 @@ TEST(PlanEquivalence, TraceCacheColdAndWarmBitIdenticalToSerial)
     ASSERT_TRUE(truncated);
     auto fallback = lpp::core::evaluateWorkload(*w, config);
     expectSameEvaluation(fallback, serial);
+
+    fs::remove_all(dir);
+}
+
+/** A stored training entry's precount statistics size the sampler on a
+ *  store hit. A flipped statistics bit must fail the load's hash check
+ *  and fall back to a live run whose analysis equals the cold one —
+ *  not size the sampler from the corrupt count. */
+TEST(PlanEquivalence, FlippedStoredStatisticsFallBackToLiveAnalysis)
+{
+    namespace fs = std::filesystem;
+    auto dir = fs::temp_directory_path() /
+               ("lpp_eq_stats_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+
+    AnalysisConfig config;
+    config.traceCache.enabled = true;
+    config.traceCache.dir = dir.string();
+    auto w = lpp::workloads::create("mesh");
+    ASSERT_NE(w, nullptr);
+
+    auto cold = lpp::core::analyzeWorkload(*w, config);
+    EXPECT_EQ(cold.traceCacheMisses, 1u);
+    std::vector<fs::path> entries;
+    for (const auto &entry : fs::directory_iterator(dir))
+        entries.push_back(entry.path());
+    ASSERT_EQ(entries.size(), 1u); // the training recording
+
+    // Bit 8 of the header's distinct-element count, which starts at
+    // byte 33 (after magic, version, params hash, event and access
+    // counts, and the has-statistics flag).
+    {
+        std::fstream f(entries[0],
+                       std::ios::in | std::ios::out | std::ios::binary);
+        ASSERT_TRUE(f.good());
+        char c = 0;
+        f.seekg(34);
+        f.read(&c, 1);
+        c = static_cast<char>(c ^ 0x01);
+        f.seekp(34);
+        f.write(&c, 1);
+    }
+
+    auto flipped = lpp::core::analyzeWorkload(*w, config);
+    const auto &fd = flipped.analysis.detection;
+    const auto &cd = cold.analysis.detection;
+    EXPECT_EQ(fd.accessSamples, cd.accessSamples);
+    EXPECT_EQ(fd.dataSamples, cd.dataSamples);
+    EXPECT_EQ(fd.samplerAdjustments, cd.samplerAdjustments);
+    EXPECT_EQ(fd.boundaryTimes, cd.boundaryTimes);
+    EXPECT_EQ(hierarchyText(flipped.analysis.hierarchy),
+              hierarchyText(cold.analysis.hierarchy));
 
     fs::remove_all(dir);
 }

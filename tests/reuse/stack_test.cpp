@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -9,7 +10,7 @@
 
 namespace {
 
-using lpp::reuse::FenwickTree;
+using lpp::reuse::RankBitmap;
 using lpp::reuse::ReuseStack;
 
 constexpr uint64_t inf = ReuseStack::infinite;
@@ -39,26 +40,87 @@ class NaiveReuse
     std::unordered_map<uint64_t, size_t> lastIndex;
 };
 
-TEST(FenwickTree, PrefixSums)
+TEST(RankBitmap, PrefixSums)
 {
-    FenwickTree t(8);
-    t.add(0, 1);
-    t.add(3, 1);
-    t.add(7, 1);
-    EXPECT_EQ(t.prefix(0), 1u);
-    EXPECT_EQ(t.prefix(2), 1u);
-    EXPECT_EQ(t.prefix(3), 2u);
-    EXPECT_EQ(t.prefix(7), 3u);
+    RankBitmap b(8);
+    b.set(0);
+    b.set(3);
+    b.set(7);
+    EXPECT_EQ(b.rank(0), 1u);
+    EXPECT_EQ(b.rank(2), 1u);
+    EXPECT_EQ(b.rank(3), 2u);
+    EXPECT_EQ(b.rank(7), 3u);
 }
 
-TEST(FenwickTree, NegativeUpdates)
+TEST(RankBitmap, ClearedMarksLeaveTheRank)
 {
-    FenwickTree t(4);
-    t.add(1, 1);
-    t.add(1, -1);
-    t.add(2, 1);
-    EXPECT_EQ(t.prefix(1), 0u);
-    EXPECT_EQ(t.prefix(3), 1u);
+    RankBitmap b(4);
+    b.set(1);
+    b.clear(1);
+    b.set(2);
+    EXPECT_FALSE(b.test(1));
+    EXPECT_EQ(b.rank(1), 0u);
+    EXPECT_EQ(b.rank(3), 1u);
+}
+
+TEST(RankBitmap, RanksAcrossWordBoundariesMatchACount)
+{
+    // Slots on both sides of every 64-slot word edge, plus random
+    // set/clear churn, against a plain vector<bool> count.
+    const size_t n = 64 * 9 + 5;
+    RankBitmap b(n);
+    std::vector<bool> ref(n, false);
+    auto expectRanks = [&](const char *what) {
+        uint64_t count = 0;
+        for (size_t i = 0; i < n; ++i) {
+            count += ref[i] ? 1 : 0;
+            ASSERT_EQ(b.rank(i), count) << what << " slot " << i;
+            ASSERT_EQ(b.test(i), ref[i]) << what << " slot " << i;
+        }
+    };
+    for (size_t i : {0, 1, 62, 63, 64, 65, 127, 128, 129, 511, 512, 575,
+                     576, 580}) {
+        b.set(i);
+        ref[i] = true;
+    }
+    expectRanks("edges");
+    lpp::Rng rng(5);
+    for (int step = 0; step < 4000; ++step) {
+        size_t i = rng.below(n);
+        if (ref[i])
+            b.clear(i);
+        else
+            b.set(i);
+        ref[i] = !ref[i];
+    }
+    expectRanks("churn");
+    std::vector<size_t> visited;
+    b.forEachSet([&](size_t i) { visited.push_back(i); });
+    std::vector<size_t> expected;
+    for (size_t i = 0; i < n; ++i)
+        if (ref[i])
+            expected.push_back(i);
+    EXPECT_EQ(visited, expected);
+}
+
+TEST(RankBitmap, FillPrefixMarksExactlyTheLeadingSlots)
+{
+    for (size_t marks : {0, 1, 63, 64, 65, 128, 200}) {
+        RankBitmap b(3);
+        b.set(2);
+        b.fillPrefix(marks, 300);
+        EXPECT_EQ(b.size(), 300u);
+        for (size_t i = 0; i < 300; ++i)
+            ASSERT_EQ(b.rank(i), std::min<uint64_t>(i + 1, marks))
+                << "marks " << marks << " slot " << i;
+        // The rebuilt counts stay consistent under further updates.
+        b.set(299);
+        EXPECT_EQ(b.rank(299), marks + 1);
+        if (marks > 0) {
+            b.clear(marks - 1);
+            EXPECT_EQ(b.rank(299), marks);
+        }
+    }
 }
 
 TEST(ReuseStack, FirstAccessIsInfinite)
@@ -207,5 +269,64 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SweepParam{2, 64}, SweepParam{8, 64},
                       SweepParam{64, 64}, SweepParam{64, 4096},
                       SweepParam{512, 64}, SweepParam{512, 1u << 16}));
+
+TEST(ReuseStack, DifferentialAgainstNaiveUnderManyCompactions)
+{
+    // Working sets whose live-mark counts sit at and around 64-slot
+    // word edges, capacity hints that put the compaction trigger on
+    // and beside a word edge, and a mix of sweeps and random reuse:
+    // every distance must equal the naive count.
+    for (uint64_t elements : {1, 63, 64, 65, 127, 128, 129, 300}) {
+        for (size_t hint : {1, 63, 64, 65, 128, 1000}) {
+            lpp::Rng rng(elements * 1009 + hint);
+            ReuseStack fast(hint);
+            NaiveReuse slow;
+            for (uint64_t i = 0; i < 2500; ++i) {
+                uint64_t e = rng.below(4) == 0 ? i % elements
+                                               : rng.below(elements);
+                ASSERT_EQ(fast.access(e), slow.access(e))
+                    << "elements " << elements << " hint " << hint
+                    << " access " << i;
+            }
+            EXPECT_EQ(fast.accessCount(), 2500u);
+        }
+    }
+}
+
+TEST(ReuseStack, ReservedStackMatchesNaiveAcrossCompactions)
+{
+    // Sized the way the sampler sizes it (reserveElements from an
+    // address-space hint), then driven through many compactions by a
+    // working set that grows and drifts.
+    lpp::Rng rng(77);
+    ReuseStack fast;
+    fast.reserveElements(100);
+    NaiveReuse slow;
+    for (uint64_t i = 0; i < 12000; ++i) {
+        uint64_t e = (i / 3000) * 40 + rng.below(90 + i / 400);
+        ASSERT_EQ(fast.access(e), slow.access(e)) << "access " << i;
+    }
+}
+
+TEST(ReuseStack, RemoveReportsLaterElementsAndForgets)
+{
+    ReuseStack s(8);
+    for (uint64_t e : {1, 2, 3, 4, 2})
+        s.access(e);
+    // Last-access order, oldest first: 1 3 4 2.
+    EXPECT_EQ(s.remove(3), 2u); // 4 and 2 came later
+    EXPECT_EQ(s.remove(9), ReuseStack::infinite);
+    EXPECT_EQ(s.distinctCount(), 3u);
+    EXPECT_EQ(s.access(1), 2u); // 4 and 2; 3 is gone
+    EXPECT_EQ(s.access(3), ReuseStack::infinite);
+    // Order 4 2 1 3; then more accesses than the 64 slots, so the
+    // stack compacts, which must keep the order.
+    for (int round = 0; round < 20; ++round)
+        for (uint64_t e : {5, 6, 7})
+            s.access(e);
+    EXPECT_EQ(s.remove(2), 5u); // 1 3 5 6 7
+    EXPECT_EQ(s.remove(4), 5u);
+    EXPECT_EQ(s.distinctCount(), 5u);
+}
 
 } // namespace

@@ -314,11 +314,6 @@ TEST(StreamingTrace, MultiFrameStoreRoundTrip)
     loaded.replay(replayed);
     EXPECT_EQ(replayed.log, direct.log);
 
-    // Streaming store replay (no adoption) delivers the same stream.
-    DeliveryLog streamed;
-    ASSERT_TRUE(store.replay("w@s1:x1", 9, streamed));
-    EXPECT_EQ(streamed.log, direct.log);
-
     fs::remove_all(dir);
 }
 
